@@ -20,7 +20,6 @@ errors.
 
 import argparse
 import json
-import os
 import sys
 
 from .errors import (
@@ -28,11 +27,10 @@ from .errors import (
     NotZeroDimensionalError,
     ParseError,
     ProblemFileError,
-    UnitIdealError,
 )
 from .gf import MAX_MODULUS, is_prime
 from .groebner import Ideal
-from .mpoly import MonomialOrder, PolyRing
+from .mpoly import MonomialOrder, PolyRing, is_variable_name
 from .primdec import primary_decomposition, verify
 from .univar import factor, format_factorization
 
@@ -86,16 +84,22 @@ def parse_problem(text):
             if len(fields) != 2 or not fields[1].lstrip("+-").isdigit():
                 raise ProblemFileError("field needs one integer argument", line=lineno)
             p = int(fields[1])
-            if p < 2 or not is_prime(p):
-                raise ProblemFileError("modulus must be prime", line=lineno)
+            # bound first: trial division of a huge modulus would not finish
             if p > MAX_MODULUS:
                 raise ProblemFileError(
                     f"modulus exceeds the supported bound {MAX_MODULUS}", line=lineno
                 )
+            if p < 2 or not is_prime(p):
+                raise ProblemFileError("modulus must be prime", line=lineno)
         elif directive == "vars":
             if len(fields) < 2:
                 raise ProblemFileError("vars needs at least one name", line=lineno)
             variables = fields[1:]
+            for name in variables:
+                if not is_variable_name(name):
+                    raise ProblemFileError(
+                        f"invalid variable name {name!r}", line=lineno
+                    )
             if len(set(variables)) != len(variables):
                 raise ProblemFileError("variable names must be distinct", line=lineno)
         elif directive == "order":
@@ -178,8 +182,7 @@ def _cmd_groebner(ideal, args):
 
 
 def _cmd_decompose(ideal, args, always_report=False):
-    parallel = os.environ.get("FPDEC_PARALLEL") == "1"
-    d = primary_decomposition(ideal, parallel=parallel)
+    d = primary_decomposition(ideal)
     report = verify(d)
     if args.json:
         _emit(json.dumps(_decomposition_payload(d, report), indent=2), args.quiet)
@@ -213,8 +216,7 @@ def _cmd_factor(problem, args):
     if len(ideal.generators) != 1:
         raise ProblemFileError("factor expects a single polynomial in the ideal block")
     f = ideal.generators[0]
-    parallel = os.environ.get("FPDEC_PARALLEL") == "1"
-    fact = factor(f, parallel=parallel)
+    fact = factor(f)
     if args.json:
         payload = _header(ideal)
         payload["input"] = str(f)
@@ -272,9 +274,6 @@ def main(argv=None):
     except ProblemFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (UnitIdealError, NotZeroDimensionalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except FpdecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -16,9 +16,6 @@ from .errors import ClosureError
 from .gf import Matrix, kernel_basis, mat_mul, row_space, solve
 from .quotient import QuotientElement, coords_vector, frobenius_matrix, from_coords
 
-# above this p, eigenvalues come from minimal polynomials instead of a scan
-LARGE_PRIME_THRESHOLD = 1 << 16
-
 
 class Subalgebra:
     """A multiplicatively closed subspace of F_p[x]/I, basis kept in RREF."""
@@ -147,18 +144,14 @@ def _normalize(row, qb):
     return tuple((kinv * a) % p for a in row)
 
 
-def _eigensplit(rows, a_mat, qb, threshold):
+def _eigensplit(rows, a_mat, qb):
     """Cut a block along the eigenspaces of a non-scalar multiplication map."""
     p = qb.ring.p
     field = qb.ring.field
     d = len(rows)
-    if p <= threshold:
-        candidates = range(p)
-    else:
-        candidates = _eigenvalues_large_p(a_mat, p)
     blocks = []
     found = 0
-    for lam in candidates:
+    for lam in _eigenvalues(a_mat, p):
         shifted = Matrix(
             field,
             [
@@ -168,8 +161,6 @@ def _eigensplit(rows, a_mat, qb, threshold):
             cols=d,
         )
         ker = kernel_basis(shifted)
-        if not ker:
-            continue
         sub_rows = []
         for c in ker:
             vec = [0] * qb.dimension
@@ -179,14 +170,12 @@ def _eigensplit(rows, a_mat, qb, threshold):
             sub_rows.append(vec)
         blocks.append(row_space(sub_rows, field))
         found += len(ker)
-        if found == d:
-            break
     if found != d:
         raise ClosureError("multiplication map failed to diagonalize")
     return blocks
 
 
-def split_algebra(v, threshold=LARGE_PRIME_THRESHOLD):
+def split_algebra(v):
     """Primitive idempotents of a semisimple subalgebra of F_p[x]/I."""
     qb = v.ambient
     idempotents = []
@@ -199,7 +188,7 @@ def split_algebra(v, threshold=LARGE_PRIME_THRESHOLD):
         for w in rows:
             a_mat = _phi_matrix(w, rows, qb)
             if not _is_scalar(a_mat):
-                stack.extend(_eigensplit(rows, a_mat, qb, threshold))
+                stack.extend(_eigensplit(rows, a_mat, qb))
                 break
         else:
             # every multiplication scalar on a 2+ dim block: not semisimple
@@ -209,10 +198,10 @@ def split_algebra(v, threshold=LARGE_PRIME_THRESHOLD):
     return IdempotentSet(elems)
 
 
-# -- large-p eigenvalue extraction -------------------------------------------
+# -- eigenvalue extraction ---------------------------------------------------
 #
-# Dense univariate helpers over F_p, ascending coefficient lists.  Only this
-# fallback uses them; the sizes involved are the block dimension, not p.
+# Dense univariate helpers over F_p, ascending coefficient lists.  The sizes
+# involved are the block dimension, never p.
 
 
 def _poly_trim(a):
@@ -221,35 +210,35 @@ def _poly_trim(a):
     return a
 
 
+def _poly_divmod(a, b, p):
+    """Quotient and remainder of a by a nonzero trimmed b."""
+    r = _poly_trim(list(a))
+    db = len(b) - 1
+    inv = pow(b[-1], p - 2, p)
+    q = [0] * max(len(r) - db, 0)
+    while len(r) - 1 >= db:
+        c = (r[-1] * inv) % p
+        shift = len(r) - 1 - db
+        q[shift] = c
+        for i, bi in enumerate(b):
+            r[shift + i] = (r[shift + i] - c * bi) % p
+        _poly_trim(r)
+    return _poly_trim(q), r
+
+
 def _poly_mulmod(a, b, m, p):
     out = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
                 out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_rem(out, m, p)
-
-
-def _poly_rem(a, m, p):
-    a = list(a)
-    dm = len(m) - 1
-    inv = pow(m[-1], p - 2, p)
-    while len(a) - 1 >= dm and any(a):
-        _poly_trim(a)
-        if len(a) - 1 < dm:
-            break
-        c = (a[-1] * inv) % p
-        shift = len(a) - 1 - dm
-        for i, mi in enumerate(m):
-            a[shift + i] = (a[shift + i] - c * mi) % p
-        _poly_trim(a)
-    return _poly_trim(a)
+    return _poly_divmod(out, m, p)[1]
 
 
 def _poly_gcd(a, b, p):
     a, b = list(a), list(b)
     while _poly_trim(b):
-        a, b = b, _poly_rem(a, b, p)
+        a, b = b, _poly_divmod(a, b, p)[1]
     if a:
         inv = pow(a[-1], p - 2, p)
         a = [(c * inv) % p for c in a]
@@ -258,7 +247,7 @@ def _poly_gcd(a, b, p):
 
 def _poly_powmod(base, e, m, p):
     result = [1]
-    base = _poly_rem(base, m, p)
+    base = _poly_divmod(base, m, p)[1]
     while e:
         if e & 1:
             result = _poly_mulmod(result, base, m, p)
@@ -295,22 +284,24 @@ def _roots(m, p):
     if len(m) - 1 <= 0:
         return []
     if p < 30:
-        # tiny fields (reachable only with a lowered threshold): plain scan
+        # tiny fields, p = 2 included: the split below needs odd p, and a
+        # plain scan of the field is cheaper anyway
         return [a for a in range(p) if _horner(m, a, p) == 0]
     inv = pow(m[-1], p - 2, p)
     m = [(c * inv) % p for c in m]
     if len(m) == 2:
-        return [(-m[0] * pow(m[1], p - 2, p)) % p]
+        return [-m[0] % p]
     if m[0] == 0:
         rest = _poly_trim(m[1:])
         return sorted([0] + _roots(rest, p))
+    # about half of all shifts c split m, so this stops after a few tries
     for c in range(p):
         base = [c, 1]
         g = _poly_powmod(base, (p - 1) // 2, m, p)
         g = _poly_trim([(g[0] - 1) % p if g else p - 1] + g[1:])
         g = _poly_gcd(m, g, p)
         if 0 < len(g) - 1 < len(m) - 1:
-            q = _poly_quotient(m, g, p)
+            q = _poly_divmod(m, g, p)[0]
             return sorted(_roots(g, p) + _roots(q, p))
     raise ClosureError("root extraction failed to split")
 
@@ -322,25 +313,8 @@ def _horner(m, a, p):
     return acc
 
 
-def _poly_quotient(a, b, p):
-    a = list(a)
-    db = len(b) - 1
-    inv = pow(b[-1], p - 2, p)
-    q = [0] * (len(a) - db)
-    while len(a) - 1 >= db and any(a):
-        _poly_trim(a)
-        if len(a) - 1 < db:
-            break
-        c = (a[-1] * inv) % p
-        shift = len(a) - 1 - db
-        q[shift] = c
-        for i, bi in enumerate(b):
-            a[shift + i] = (a[shift + i] - c * bi) % p
-    return _poly_trim(q)
-
-
-def _eigenvalues_large_p(a_mat, p):
-    """Eigenvalues via gcd(min poly, x^p - x); avoids scanning all of F_p."""
+def _eigenvalues(a_mat, p):
+    """Distinct eigenvalues in F_p: the roots of gcd(min poly, x^p - x)."""
     m = _minimal_polynomial(a_mat, p)
     xp = _poly_powmod([0, 1], p, m, p)
     # x^p - x mod m
@@ -348,7 +322,4 @@ def _eigenvalues_large_p(a_mat, p):
     while len(diff) < 2:
         diff.append(0)
     diff[1] = (diff[1] - 1) % p
-    g = _poly_gcd(m, _poly_trim(diff), p)
-    if len(g) - 1 <= 0:
-        g = m
-    return _roots(g, p)
+    return _roots(_poly_gcd(m, _poly_trim(diff), p), p)

@@ -4,7 +4,7 @@ The package ships two interchangeable implementations of the hot inner
 loops (polynomial term merging, division, dense mod-p row reduction): a
 compiled Cython extension and a pure-Python fallback.  The compiled one is
 used when importable; set FPDEC_BACKEND=python (or =c) to force a choice,
-or call `use_backend` at runtime (the benchmark does).
+or call `use_backend` at runtime (tests/test_kernels.py does).
 """
 
 import os

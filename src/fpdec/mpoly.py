@@ -105,6 +105,11 @@ def monomial_lcm(a, b):
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
+def is_variable_name(name):
+    """True if name is a letter or underscore followed by letters, digits, _."""
+    return _NAME_RE.fullmatch(name) is not None
+
+
 class PolyRing:
     """F_p[x_1, ..., x_n] with a fixed monomial order."""
 
@@ -118,7 +123,7 @@ class PolyRing:
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("variable names must be distinct")
         for name in self.variables:
-            if not _NAME_RE.fullmatch(name):
+            if not is_variable_name(name):
                 raise ValueError(f"invalid variable name {name!r}")
         if order is None:
             order = MonomialOrder("lex")

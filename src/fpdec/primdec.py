@@ -12,8 +12,6 @@ with exact arithmetic and reports failures with witnesses instead of
 raising.
 """
 
-from concurrent.futures import ThreadPoolExecutor
-
 from .errors import NotZeroDimensionalError, UnitIdealError
 from .groebner import Ideal, buchberger, intersect_all
 from .idempotents import IdempotentSet, invariant_subspace, split_algebra
@@ -46,7 +44,7 @@ def _component_key(component):
     return tuple(str(g) for g in component.groebner_basis())
 
 
-def primary_decomposition(ideal, parallel=False):
+def primary_decomposition(ideal):
     """Irredundant primary decomposition I = I_1 ∩ ... ∩ I_t.
 
     Raises UnitIdealError for <1> and NotZeroDimensionalError when some
@@ -63,12 +61,7 @@ def primary_decomposition(ideal, parallel=False):
     subalgebra = invariant_subspace(qb)
     idempotents = split_algebra(subalgebra)
     base = Ideal.from_groebner(gb)
-    reps = [e.to_polynomial() for e in idempotents]
-    if parallel and len(reps) > 1:
-        with ThreadPoolExecutor() as pool:
-            components = list(pool.map(base.saturate, reps))
-    else:
-        components = [base.saturate(rep) for rep in reps]
+    components = [base.saturate(e.to_polynomial()) for e in idempotents]
     pairs = sorted(zip(components, idempotents), key=lambda t: _component_key(t[0]))
     return Decomposition(
         ideal,

@@ -35,7 +35,7 @@ class Factorization:
         return "Factorization(" + format_factorization(self) + ")"
 
 
-def factor(f, parallel=False):
+def factor(f):
     """Primary factors of a nonconstant univariate polynomial."""
     ring = f.ring
     if ring.nvars != 1:
@@ -43,7 +43,7 @@ def factor(f, parallel=False):
     if f.is_constant:
         raise ValueError("cannot factor a constant polynomial")
     lead = f.lc()
-    decomposition = primary_decomposition(Ideal(ring, [f.monic()]), parallel=parallel)
+    decomposition = primary_decomposition(Ideal(ring, [f.monic()]))
     factors = []
     for comp in decomposition.components:
         gb = comp.groebner_basis()

@@ -54,6 +54,8 @@ def test_parse_problem_happy_path():
         ("field 5\nvars x\nbasis\nideal\nx", "unknown directive", 3),
         ("field 5\nvars x\nideal now\nx", "ideal takes no arguments", 3),
         ("field 2147483659\nvars x\nideal\nx", "exceeds the supported bound", 1),
+        ("field 1000000000000000003\nvars x\nideal\nx", "exceeds the supported", 1),
+        ("field 5\nvars 1x y\nideal\nx", "invalid variable name '1x'", 2),
     ],
 )
 def test_parse_problem_errors(text, fragment, line):
@@ -246,10 +248,3 @@ def test_json_output_is_stable(capsys):
     _, first, _ = run(capsys, "decompose", EXAMPLE1, "--json")
     _, second, _ = run(capsys, "decompose", EXAMPLE1, "--json")
     assert first == second
-
-
-def test_parallel_env_var_matches(capsys, monkeypatch):
-    _, serial, _ = run(capsys, "decompose", EXAMPLE1, "--json")
-    monkeypatch.setenv("FPDEC_PARALLEL", "1")
-    _, parallel, _ = run(capsys, "decompose", EXAMPLE1, "--json")
-    assert serial == parallel

@@ -148,15 +148,6 @@ def test_split_trivial_algebra():
     assert [str(e.to_polynomial()) for e in idem] == ["1"]
 
 
-def test_threshold_fallback_agrees(qb1, qb3):
-    # threshold 1 forces the minimal-polynomial eigenvalue path
-    for qb in (qb1, qb3):
-        v = invariant_subspace(qb)
-        scan = split_algebra(v)
-        minpoly = split_algebra(v, threshold=1)
-        assert {e.coords for e in scan} == {e.coords for e in minpoly}
-
-
 def test_split_agrees_with_bruteforce(qb1, qb3):
     for qb in (qb1, qb3):
         v = invariant_subspace(qb)

@@ -116,18 +116,10 @@ def test_verify_flags_dropped_component(example1):
     assert "intersection_equals_input" in failed
 
 
-def test_parallel_matches_serial(example1):
-    serial = primary_decomposition(example1)
-    parallel = primary_decomposition(example1, parallel=True)
-    assert _component_texts(serial) == _component_texts(parallel)
-    assert [str(e.to_polynomial()) for e in serial.idempotents] == [
-        str(e.to_polynomial()) for e in parallel.idempotents
-    ]
-
-
 def test_point_ideal_roundtrip():
     rng = random.Random(41)
-    for p, n, r in [(3, 2, 3), (5, 2, 4), (7, 3, 3), (2, 3, 2)]:
+    # F_101 splits eigenvalues by gcd; the smaller fields scan for roots
+    for p, n, r in [(3, 2, 3), (5, 2, 4), (7, 3, 3), (2, 3, 2), (101, 3, 4)]:
         ring = PolyRing(p, [f"x{i}" for i in range(n)], "lex")
         points = random_points(rng, p, n, r)
         d = primary_decomposition(point_ideal(ring, points))

@@ -93,7 +93,30 @@ def test_rejects_bad_inputs(ring5, ring3x):
         factor(ring3x.zero())
 
 
-def test_parallel_factoring_matches(example3):
-    serial = factor(example3)
-    parallel = factor(example3, parallel=True)
-    assert [str(g) for g in serial.factors] == [str(g) for g in parallel.factors]
+def _irreducible_quadratic(ring, c):
+    """x^2 + b*x + c for the least b >= 1 with a nonsquare discriminant."""
+    p = ring.p
+    b = next(b for b in range(1, p) if pow(b * b - 4 * c, (p - 1) // 2, p) == p - 1)
+    return ring.parse(f"x^2 + {b}*x + {c}")
+
+
+@pytest.mark.parametrize("p", [101, 32003, 2**31 - 1])
+def test_gcd_root_splitting_fields(p):
+    # for p >= 30 the eigenvalues come from gcd splitting, not a field scan
+    ring = PolyRing(p, ["x"], "lex")
+    x = ring.variable("x")
+    factors = [
+        x,
+        x - ring.constant(3),
+        x + ring.constant(7),
+        _irreducible_quadratic(ring, 1),
+        _irreducible_quadratic(ring, 2),
+        (x - ring.constant(12)) ** 2,
+    ]
+    f = ring.one()
+    for g in factors:
+        f = f * g
+    fact = factor(f)
+    assert fact.product() == f
+    assert {str(g) for g in fact.factors} == {str(g) for g in factors}
+    assert fact.t == len(factors)
