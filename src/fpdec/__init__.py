@@ -9,6 +9,7 @@ from .errors import (
     OracleBoundError,
     ParseError,
     ProblemFileError,
+    QuotientTooLargeError,
     UnitIdealError,
 )
 from .gf import PrimeField
@@ -34,6 +35,7 @@ __all__ = [
     "Polynomial",
     "PrimeField",
     "ProblemFileError",
+    "QuotientTooLargeError",
     "UnitIdealError",
     "__version__",
     "buchberger",

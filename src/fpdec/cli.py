@@ -14,8 +14,9 @@ Variable precedence is the listing order (first name is greatest).  The
 `ideal` directive introduces the generators, one polynomial per line.
 
 Exit codes: 0 success, 1 mathematical domain errors (unit ideal, not
-zero-dimensional, failed --check), 2 problem-file or polynomial parse
-errors.
+zero-dimensional, quotient dimension above
+quotient.MAX_QUOTIENT_DIMENSION = 256, failed --check), 2 problem-file or
+polynomial parse errors.
 """
 
 import argparse
@@ -27,6 +28,7 @@ from .errors import (
     NotZeroDimensionalError,
     ParseError,
     ProblemFileError,
+    UnitIdealError,
 )
 from .gf import MAX_MODULUS, is_prime
 from .groebner import Ideal
@@ -216,6 +218,10 @@ def _cmd_factor(problem, args):
     if len(ideal.generators) != 1:
         raise ProblemFileError("factor expects a single polynomial in the ideal block")
     f = ideal.generators[0]
+    if f.is_zero:
+        raise NotZeroDimensionalError("the zero ideal is not zero-dimensional")
+    if f.is_constant:
+        raise UnitIdealError("a nonzero constant generates the unit ideal")
     fact = factor(f)
     if args.json:
         payload = _header(ideal)

@@ -38,6 +38,11 @@ class UnitIdealError(FpdecError):
     """The ideal is the whole ring; there is nothing to decompose."""
 
 
+class QuotientTooLargeError(FpdecError):
+    """The quotient F_p[x]/I has more standard monomials than
+    quotient.MAX_QUOTIENT_DIMENSION; the dense n x n matrices are never built."""
+
+
 class ClosureError(FpdecError):
     """Internal consistency failure: a subspace expected to be closed under
     multiplication (and nilpotent-free) is not."""

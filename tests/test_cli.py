@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 
@@ -204,6 +205,27 @@ def test_exit_code_positive_dimension(capsys, tmp_path):
     code, _, err = run(capsys, "decompose", path)
     assert code == 1
     assert "zero-dimensional" in err
+
+
+@pytest.mark.parametrize(
+    "command,text,fragment",
+    [
+        ("decompose", "vars x y\nideal\nx^3000\ny^3000\nx*y", "DIMENSION = 256"),
+        ("decompose", "vars x\nideal\nx^1048576 - x", "DIMENSION = 256"),
+        ("factor", "vars x\nideal\nx^1048576 - x", "DIMENSION = 256"),
+        ("factor", "vars x\nideal\n2", "unit ideal"),
+        ("factor", "vars x\nideal\n0", "not zero-dimensional"),
+    ],
+    ids=["box-3000", "x^2^20-decompose", "x^2^20-factor", "factor-2", "factor-0"],
+)
+def test_hostile_inputs_end_in_typed_errors(capsys, tmp_path, command, text, fragment):
+    path = write_problem(tmp_path, "field 101\n" + text + "\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, path)
+    assert time.perf_counter() - start < 5.0
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and fragment in err
+    assert "Traceback" not in err
 
 
 def test_exit_code_parse_failure(capsys, tmp_path):

@@ -1,12 +1,15 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from fpdec.errors import NotZeroDimensionalError
+from fpdec.errors import NotZeroDimensionalError, QuotientTooLargeError
 from fpdec.gf import Matrix, mat_mul
 from fpdec.groebner import Ideal, buchberger
-from fpdec.mpoly import PolyRing
+from fpdec.mpoly import PolyRing, monomial_divides
 from fpdec.quotient import (
+    MAX_QUOTIENT_DIMENSION,
     QuotientElement,
     coords_vector,
     frobenius_matrix,
@@ -20,6 +23,18 @@ from fpdec.quotient import (
 )
 
 from conftest import random_polynomial
+
+BIG_PRIME = 2**31 - 1
+
+# (variables, generators).  The multivariate ideals have a mixed leading
+# term such as x*y in most (order, p) pairs, the third in all of them, so
+# their Macaulay basis is not the box below the pure powers.
+RING_MAP_CASES = [
+    ("x", ["x^6 + x^5 + x^4 + 2"]),
+    ("x y", ["x^2 - y", "x*y - 1", "y^2 - x"]),
+    ("x y", ["x^3 + y", "y^3 + x*y", "x^2*y^2"]),
+    ("x y z", ["x^2 + y*z", "y^2 + x*z + 1", "z^2 + x*y"]),
+]
 
 # transformation f -> f^3 - f on the residue classes of
 # x^5, x^4, x^3, x^2, x, 1 modulo x^6 + x^5 + x^4 + 2 over F_3
@@ -71,6 +86,82 @@ def test_single_point_quotient():
 def test_frobenius_matrix_of_sextic(example3):
     qb = macaulay_basis(Ideal.of(example3).groebner_basis())
     assert frobenius_matrix(qb).entries == SEXTIC_FROBENIUS
+
+
+def direct_frobenius(qb):
+    """Column j = coords(b_j^p - b_j), one pow_mod per basis monomial."""
+    n = qb.dimension
+    cols = []
+    for j in range(n):
+        b = qb.monomial_poly(j)
+        cols.append(coords_vector(pow_mod(b, qb.ring.p, qb) - b, qb))
+    return [[cols[j][i] for j in range(n)] for i in range(n)]
+
+
+def box_standard_monomials(gb):
+    """Standard monomials found by scanning the whole exponent box."""
+    leads = gb.leading_monomials()
+    degs = [max(lm[i] for lm in leads) for i in range(gb.ring.nvars)]
+    box = [()]
+    for d in degs:
+        box = [m + (e,) for m in box for e in range(d)]
+    standard = [m for m in box if not any(monomial_divides(lm, m) for lm in leads)]
+    return tuple(sorted(standard, key=gb.ring.order.key, reverse=True))
+
+
+@pytest.mark.parametrize("p", [2, 7, BIG_PRIME])
+@pytest.mark.parametrize("order", ["lex", "grevlex"])
+@pytest.mark.parametrize("names,gens", RING_MAP_CASES)
+def test_frobenius_matrix_matches_direct_definition(names, gens, order, p):
+    ring = PolyRing(p, names.split(), order)
+    gb = buchberger([ring.parse(g) for g in gens])
+    qb = macaulay_basis(gb)
+    assert qb.monomials == box_standard_monomials(gb)
+    assert frobenius_matrix(qb).entries == direct_frobenius(qb)
+
+
+def test_macaulay_basis_of_non_box_ideal():
+    ring = PolyRing(7, ["x", "y"], "lex")
+    qb = macaulay_basis(buchberger([ring.parse(g) for g in RING_MAP_CASES[2][1]]))
+    assert qb.monomials == ((2, 0), (1, 0), (0, 1), (0, 0))
+
+
+@st.composite
+def small_ideals(draw):
+    p = draw(st.sampled_from([2, 3, 101, BIG_PRIME]))
+    nvars = draw(st.integers(2, 3))
+    order = draw(st.sampled_from(["lex", "grevlex"]))
+    ring = PolyRing(p, ["x", "y", "z"][:nvars], order)
+    exps = st.tuples(*[st.integers(0, 4 - nvars)] * nvars)
+    term = st.tuples(exps, st.integers(1, p - 1))
+    poly = st.lists(term, min_size=2, max_size=4)
+    gens = draw(st.lists(poly, min_size=nvars, max_size=nvars))
+    return buchberger([ring.from_terms(terms) for terms in gens])
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_ideals())
+def test_frobenius_matrix_property(gb):
+    assume(not gb.is_unit and is_zero_dimensional(gb))
+    qb = macaulay_basis(gb)
+    assert qb.monomials == box_standard_monomials(gb)
+    assert frobenius_matrix(qb).entries == direct_frobenius(qb)
+
+
+def test_quotient_dimension_bound():
+    r1 = PolyRing(101, ["x"], "lex")
+    r2 = PolyRing(101, ["x", "y"], "grevlex")
+    assert MAX_QUOTIENT_DIMENSION == 256
+    for ring, gens in ((r1, ["x^256 - x"]), (r2, ["x^16", "y^16"])):
+        gb = buchberger([ring.parse(g) for g in gens])
+        assert macaulay_basis(gb).dimension == 256
+    for ring, gens in (
+        (r1, ["x^257 - x"]),
+        (r2, ["x^16", "y^17"]),
+        (r2, ["x^3000", "y^3000", "x*y"]),
+    ):
+        with pytest.raises(QuotientTooLargeError):
+            macaulay_basis(buchberger([ring.parse(g) for g in gens]))
 
 
 def test_frobenius_matrix_is_the_frobenius_map(example1):
@@ -165,3 +256,8 @@ def test_pow_mod_matches_repeated_multiplication(example3):
         multiply_mod(square, square, qb), f, qb
     )
     assert pow_mod(f, 0, qb) == ring.one()
+    for e in (ring.p, 1000, 1024):
+        plain = ring.one()
+        for _ in range(e):
+            plain = multiply_mod(plain, f, qb)
+        assert pow_mod(f, e, qb) == plain
